@@ -217,6 +217,14 @@ def _weights(counts: list[ShardAnswer | None]) -> list[float]:
     return out
 
 
+def _bounded(value: float, lower: float, upper: float) -> ShardAnswer:
+    # A weighted mean of values inside the envelope can round a few ulps
+    # past it (3.3 and 3.3 average to 3.2999999999999994): clamp it back.
+    if math.isfinite(value):
+        value = min(max(value, lower), upper)
+    return ShardAnswer(value=value, lower=lower, upper=upper)
+
+
 def _combine(
     func: AggregateFunction,
     answers: list[ShardAnswer],
@@ -249,18 +257,18 @@ def _combine(
     if total <= 0:
         # No usable counts: fall back to an unweighted mean with the
         # conservative envelope (still correct for equal-size shards).
-        return ShardAnswer(
-            value=sum(a.value for a in answers) / len(answers),
-            lower=min(a.lower for a in answers),
-            upper=max(a.upper for a in answers),
+        return _bounded(
+            sum(a.value for a in answers) / len(answers),
+            min(a.lower for a in answers),
+            max(a.upper for a in answers),
         )
     if func in (AggregateFunction.AVG, AggregateFunction.MEDIAN):
         value = sum(w * a.value for w, a in zip(weights, answers)) / total
         contributing = [a for w, a in zip(weights, answers) if w > 0]
-        return ShardAnswer(
-            value=value,
-            lower=min(a.lower for a in contributing),
-            upper=max(a.upper for a in contributing),
+        return _bounded(
+            value,
+            min(a.lower for a in contributing),
+            max(a.upper for a in contributing),
         )
     if func is AggregateFunction.VAR:
         shard_means = [
@@ -277,12 +285,12 @@ def _combine(
             sum(w * a.value for w, a in zip(weights, answers)) / total + between
         )
         contributing = [a for w, a in zip(weights, answers) if w > 0]
-        return ShardAnswer(
-            value=value,
-            lower=min(a.lower for a in contributing),
+        return _bounded(
+            value,
+            min(a.lower for a in contributing),
             # The between-shard term raises the point estimate above the
             # per-shard variances, so it widens the upper bound too.
-            upper=max(a.upper for a in contributing) + between,
+            max(a.upper for a in contributing) + between,
         )
     raise ValueError(f"unsupported aggregation function {func}")  # pragma: no cover
 

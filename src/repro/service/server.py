@@ -24,8 +24,8 @@ port (sniffed from the first bytes of each connection, see
     → {"op": "query",  "sql": "SELECT AVG(x) FROM t WHERE y > 3"}
     ← {"ok": true, "result": {"results": [{"value": ..., ...}]}}
 
-Supported ops: ``query``, ``ingest``, ``register``, ``drop``, ``tables``,
-``ping``, ``checkpoint``, ``persist``.
+The supported ops, with their argument fields and admission classes, are
+the :data:`OPS` table; both dialects decode into its handler calls.
 Errors come back as ``{"ok": false, "error": ..., "error_type": ...}``
 (JSON) or a ``STATUS_ERROR`` frame (binary) — never as a dropped
 connection or a stack trace.
@@ -55,6 +55,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
+from typing import Awaitable, Callable, NamedTuple
 
 from ..audit.explain import split_explain
 from ..core.engine import AqpResult
@@ -63,7 +64,6 @@ from ..data.table import Table
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..sql.ast import Query
-from ..sql.parser import ParseError
 from ..storage.checkpointer import BackgroundCheckpointer
 from ..storage.faults import maybe_crash
 from . import framing, wire
@@ -104,21 +104,15 @@ _REQUESTS_SHED = obs_metrics.counter(
     labelnames=("kind",),
 )
 
-# Pre-bound label cells: the per-request path must not pay kwargs/label
-# resolution (see Counter.labels / Histogram.labels).
+# Pre-bound label cells, one per admission class: the per-request path
+# must not pay kwargs/label resolution (see Counter.labels /
+# Histogram.labels).
 _LATENCY_CELLS = {
     kind: _REQUEST_LATENCY.labels(kind=kind) for kind in ("query", "ingest")
 }
 _SHED_CELLS = {
     kind: _REQUESTS_SHED.labels(kind=kind) for kind in ("query", "ingest")
 }
-
-
-def _observe_latency(kind: str, seconds: float) -> None:
-    cell = _LATENCY_CELLS.get(kind)
-    if cell is None:
-        cell = _LATENCY_CELLS[kind] = _REQUEST_LATENCY.labels(kind=kind)
-    cell.observe(seconds)
 
 
 class AsyncQueryService:
@@ -485,8 +479,10 @@ def _encode_ingest(result: IngestResult) -> dict:
     }
 
 
-#: Errors the server converts into clean ``{"ok": false}`` responses.
-_CLIENT_ERRORS = (KeyError, ValueError, TypeError, ParseError)
+def _error_parts(exc: Exception) -> tuple[str, str]:
+    """``(error_type, message)`` of an exception answered as an error."""
+    message = exc.args[0] if exc.args else str(exc)
+    return type(exc).__name__, str(message)
 
 
 class QueryServer:
@@ -494,7 +490,8 @@ class QueryServer:
 
     Each connection is sniffed: the :data:`~repro.service.framing.MAGIC`
     preamble selects the binary pipelined protocol, anything else the
-    legacy JSON-lines dialect (see the module docstring).
+    legacy JSON-lines dialect (see the module docstring).  Both dialects
+    decode into the same :data:`OPS` handler calls.
 
     >>> server = QueryServer(async_service)          # doctest: +SKIP
     >>> await server.start()                         # doctest: +SKIP
@@ -699,18 +696,13 @@ class QueryServer:
                     # readexactly() is not bounded by the stream limit the
                     # way readline() is, so enforce it explicitly; the
                     # stream cannot be re-synchronised after refusing.
-                    writer.write(
-                        framing.encode_frame(
-                            framing.STATUS_ERROR,
-                            request_id,
-                            framing.encode_error(
-                                "ValueError",
-                                f"frame payload of {payload_len} bytes exceeds "
-                                f"the {self.line_limit} byte limit",
-                            ),
-                        )
+                    await self._write_error(
+                        writer,
+                        request_id,
+                        "ValueError",
+                        f"frame payload of {payload_len} bytes exceeds "
+                        f"the {self.line_limit} byte limit",
                     )
-                    await writer.drain()
                     break
                 payload = await reader.readexactly(payload_len)
                 trace: tuple[bytes, bytes] | None = None
@@ -729,14 +721,7 @@ class QueryServer:
                     try:
                         after_lsn, follower_id = framing.decode_subscribe(payload)
                     except (ValueError, struct.error) as exc:
-                        writer.write(
-                            framing.encode_frame(
-                                framing.STATUS_ERROR,
-                                request_id,
-                                framing.encode_error(type(exc).__name__, str(exc)),
-                            )
-                        )
-                        await writer.drain()
+                        await self._write_error(writer, request_id, *_error_parts(exc))
                         continue
                     subscriber_id = follower_id
                     task = asyncio.ensure_future(
@@ -747,47 +732,38 @@ class QueryServer:
                     tasks.add(task)
                     task.add_done_callback(tasks.discard)
                     continue
-                kind = "ingest" if op == framing.OP_INGEST else "query"
-                request = None
-                if op == framing.OP_JSON:
-                    # Parse inline so admission classifies JSON-op ingests
-                    # correctly (and malformed JSON errors out cleanly).
+                if op == framing.OP_QUERY_BATCH:
+                    # Own framing: per-query outcomes in one frame, which
+                    # takes one query slot.
+                    kind = OPS["query"].kind
+                    work = partial(self._query_batch, payload)
+                    encode = framing.encode_batch_response
+                else:
+                    # Decode before admission so the op table classifies
+                    # the request (an OP_JSON payload is parsed only here);
+                    # a malformed frame errors out cleanly.
                     try:
-                        request = framing.decode_json(payload)
-                    except (
-                        json.JSONDecodeError,
-                        UnicodeDecodeError,
-                    ) as exc:
-                        writer.write(
-                            framing.encode_frame(
-                                framing.STATUS_ERROR,
-                                request_id,
-                                framing.encode_error(
-                                    type(exc).__name__, str(exc)
-                                ),
-                            )
-                        )
-                        await writer.drain()
+                        codec = _BINARY_CODECS.get(op)
+                        if codec is None:
+                            raise ValueError(f"unknown binary op {op}")
+                        decode, encode = codec
+                        name, args = decode(payload, trace)
+                    except Exception as exc:
+                        await self._write_error(writer, request_id, *_error_parts(exc))
                         continue
-                    if isinstance(request, dict) and request.get("op") == "ingest":
-                        kind = "ingest"
+                    kind = OPS[name].kind
+                    work = partial(self._call, name, args)
                 if not self._admit(kind):
-                    writer.write(
-                        framing.encode_frame(
-                            framing.STATUS_OVERLOADED,
-                            request_id,
-                            framing.encode_error(
-                                framing.OVERLOADED_ERROR_TYPE,
-                                self._overloaded_message(kind),
-                            ),
-                        )
+                    await self._write_error(
+                        writer,
+                        request_id,
+                        framing.OVERLOADED_ERROR_TYPE,
+                        self._overloaded_message(kind),
+                        framing.STATUS_OVERLOADED,
                     )
-                    await writer.drain()
                     continue
                 task = asyncio.ensure_future(
-                    self._serve_frame(
-                        writer, op, request_id, payload, kind, request, trace
-                    )
+                    self._serve_frame(writer, request_id, kind, work, encode)
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
@@ -797,37 +773,47 @@ class QueryServer:
                     task.cancel()
                 await asyncio.gather(*tasks, return_exceptions=True)
 
+    @staticmethod
+    async def _write_error(
+        writer: asyncio.StreamWriter,
+        request_id: int,
+        error_type: str,
+        message: str,
+        status: int = framing.STATUS_ERROR,
+    ) -> None:
+        writer.write(
+            framing.encode_frame(
+                status, request_id, framing.encode_error(error_type, message)
+            )
+        )
+        await writer.drain()
+
     async def _serve_frame(
         self,
         writer: asyncio.StreamWriter,
-        op: int,
         request_id: int,
-        payload: bytes,
         kind: str,
-        request: dict | None,
-        trace: tuple[bytes, bytes] | None = None,
+        work,
+        encode,
     ) -> None:
-        """Execute one admitted binary frame and write its response."""
+        """Run one admitted binary frame's ``work`` and write its response."""
         started = time.perf_counter()
         try:
             try:
-                body = await self._execute_binary_op(op, payload, request, trace)
+                body = encode(await work())
                 status = framing.STATUS_OK
-            except asyncio.CancelledError:
-                raise
             except Exception as exc:
                 # Same contract as JSON: errors are frames, never dropped
                 # connections or stack traces.
                 status = framing.STATUS_ERROR
-                message = exc.args[0] if exc.args else str(exc)
-                body = framing.encode_error(type(exc).__name__, str(message))
+                body = framing.encode_error(*_error_parts(exc))
             try:
                 writer.write(framing.encode_frame(status, request_id, body))
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError, RuntimeError):
                 pass  # client went away; nothing to answer
         finally:
-            _observe_latency(kind, time.perf_counter() - started)
+            _LATENCY_CELLS[kind].observe(time.perf_counter() - started)
             self._release(kind)
 
     async def _serve_subscription(
@@ -846,16 +832,8 @@ class QueryServer:
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass  # the follower went away; its grace-period floor remains
         except Exception as exc:
-            message = exc.args[0] if exc.args else str(exc)
             try:
-                writer.write(
-                    framing.encode_frame(
-                        framing.STATUS_ERROR,
-                        request_id,
-                        framing.encode_error(type(exc).__name__, str(message)),
-                    )
-                )
-                await writer.drain()
+                await self._write_error(writer, request_id, *_error_parts(exc))
             except (ConnectionResetError, BrokenPipeError, RuntimeError):
                 pass
 
@@ -901,64 +879,42 @@ class QueryServer:
                     "unacknowledged — retry"
                 )
 
-    async def _execute_binary_op(
-        self,
-        op: int,
-        payload: bytes,
-        request: dict | None,
-        trace: tuple[bytes, bytes] | None = None,
-    ) -> bytes:
-        if op == framing.OP_PING:
-            return b""
-        if op == framing.OP_QUERY:
-            sql = framing.decode_query(payload)
-            hex_trace = (trace[0].hex(), trace[1].hex()) if trace else None
-            with self._query_span(sql, hex_trace):
-                result = await self.service.query(sql)
-            return framing.encode_result(encode_result(result))
-        if op == framing.OP_QUERY_BATCH:
-            sqls = framing.decode_query_batch(payload)
+    # ------------------------------------------------------------------ #
+    # Op dispatch (one path for both dialects)
 
-            async def run_one(sql: str) -> dict:
-                try:
-                    result = encode_result(await self.service.query(sql))
-                    return {"ok": True, "result": result}
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    message = exc.args[0] if exc.args else str(exc)
-                    return {
-                        "ok": False,
-                        "error_type": type(exc).__name__,
-                        "error": str(message),
-                    }
+    async def _call(self, name: str, args: dict):
+        """Run one :data:`OPS` handler; a mutation is refused on a replica,
+        and between its commit and its ack run the fence + replication
+        barrier and the crash drill (cluster tests arm
+        ``server.ingest.before_ack`` to pin exactly-once recovery)."""
+        op = OPS[name]
+        if not op.mutates:
+            return await op.handler(self, **args)
+        self._require_writable()
+        result = await op.handler(self, **args)
+        await self._commit_gate()
+        maybe_crash(f"server.{name}.before_ack")
+        return result
 
-            items = await asyncio.gather(*(run_one(sql) for sql in sqls))
-            return framing.encode_batch_response(list(items))
-        if op == framing.OP_INGEST:
-            self._require_writable()
-            table_name, rows, coalesce = framing.decode_ingest(payload)
-            result = await self.service.ingest(table_name, rows, coalesce=coalesce)
-            await self._commit_gate()
-            # Same crash drill as the JSON path: the batch is WAL-committed
-            # but the acknowledgement never leaves the process.  Cluster
-            # tests arm this to pin the front end's exactly-once recovery.
-            maybe_crash("server.ingest.before_ack")
-            return framing.encode_json(_encode_ingest(result))
-        if op == framing.OP_JSON:
-            if not isinstance(request, dict):
-                raise ValueError("requests must be JSON objects")
-            return framing.encode_json(await self._execute_op(request))
-        raise ValueError(f"unknown binary op {op}")
+    async def _query_batch(self, payload: bytes) -> list[dict]:
+        """``OP_QUERY_BATCH``: run every query concurrently; one outcome each."""
+
+        async def run_one(sql: str) -> dict:
+            try:
+                result = encode_result(await self.service.query(sql))
+            except Exception as exc:
+                return self._error(exc)
+            return {"ok": True, "result": result}
+
+        sqls = framing.decode_query_batch(payload)
+        return list(await asyncio.gather(*(run_one(sql) for sql in sqls)))
 
     async def _respond(self, line: bytes) -> dict:
         try:
-            request = json.loads(line)
-        except json.JSONDecodeError as exc:
+            name, args = _decode_json_request(json.loads(line))
+        except ValueError as exc:  # malformed JSON, unknown op, bad field
             return self._error(exc)
-        if not isinstance(request, dict):
-            return self._error(ValueError("requests must be JSON objects"))
-        kind = "ingest" if request.get("op") == "ingest" else "query"
+        kind = OPS[name].kind
         if not self._admit(kind):
             return {
                 "ok": False,
@@ -967,122 +923,108 @@ class QueryServer:
             }
         started = time.perf_counter()
         try:
-            return {"ok": True, "result": await self._execute_op(request)}
-        except _CLIENT_ERRORS as exc:
-            return self._error(exc)
-        except asyncio.CancelledError:
-            raise
+            return {"ok": True, "result": await self._call(name, args)}
         except Exception as exc:
             # The documented contract: errors are frames, never dropped
             # connections or stack traces (e.g. a query racing close()).
             return self._error(exc)
         finally:
-            _observe_latency(kind, time.perf_counter() - started)
+            _LATENCY_CELLS[kind].observe(time.perf_counter() - started)
             self._release(kind)
 
     @staticmethod
     def _error(exc: Exception) -> dict:
-        message = exc.args[0] if exc.args else str(exc)
-        return {"ok": False, "error": str(message), "error_type": type(exc).__name__}
+        error_type, message = _error_parts(exc)
+        return {"ok": False, "error": message, "error_type": error_type}
 
-    async def _execute_op(self, request: dict):
-        op = request.get("op")
-        if op == "ping":
-            return "pong"
-        if op == "tables":
-            return {"tables": self.service.table_names}
-        if op == "stat":
-            table_name = request.get("table")
-            if not isinstance(table_name, str):
-                raise ValueError("stat requests need a 'table' name")
-            return await self.service.stat(table_name)
-        if op == "query":
-            if "sql" not in request:
-                raise ValueError("query requests need a 'sql' field")
-            sql = request["sql"]
-            # SQL-prefix form: "EXPLAIN [ANALYZE] <query>" through the
-            # ordinary query op answers the structured plan instead.
-            prefixed = split_explain(sql) if isinstance(sql, str) else None
-            if prefixed is not None:
-                analyze, inner_sql = prefixed
-                return {"explain": await self.service.explain(inner_sql, analyze)}
-            with self._query_span(sql, self._trace_from_request(request)):
-                result = await self.service.query(sql)
-            return encode_result(result)
-        if op == "ingest":
-            self._require_writable()
-            table_name, rows = self._rows_from_request(request)
-            result = await self.service.ingest(
-                table_name, rows, coalesce=bool(request.get("coalesce", True))
-            )
-            await self._commit_gate()
-            # The nastiest distributed window: the batch is WAL-committed
-            # but the acknowledgement never leaves the process.  Cluster
-            # tests arm this to pin the front end's exactly-once recovery.
-            maybe_crash("server.ingest.before_ack")
-            return _encode_ingest(result)
-        if op == "register":
-            self._require_writable()
-            table_name, rows = self._rows_from_request(request, registered=False)
-            params = request.get("params")
-            managed = await self.service.register_table(
-                rows,
-                params=wire.params_from_payload(params) if params is not None else None,
-                partition_size=request.get("partition_size"),
-            )
-            await self._commit_gate()
-            return {
-                "table": managed.name,
-                "rows": managed.num_rows,
-                "partitions": managed.num_partitions,
-            }
-        if op == "drop":
-            self._require_writable()
-            table_name = request.get("table")
-            if not isinstance(table_name, str):
-                raise ValueError("drop requests need a 'table' name")
-            await self.service.drop_table(table_name)
-            await self._commit_gate()
-            return {"table": table_name, "dropped": True}
-        if op == "status":
-            return await self._status_payload()
-        if op == "metrics":
-            return {"metrics": await self.service.metrics()}
-        if op == "trace":
-            trace_id = request.get("trace_id")
-            if not isinstance(trace_id, str):
-                raise ValueError("trace requests need a 'trace_id' string")
-            return {"trace_id": trace_id, "spans": await self.service.trace(trace_id)}
-        if op == "explain":
-            sql = request.get("sql")
-            if not isinstance(sql, str):
-                raise ValueError("explain requests need a 'sql' string")
-            analyze = bool(request.get("analyze", False))
-            prefixed = split_explain(sql)
-            if prefixed is not None:  # accept the prefix here too
-                analyze = prefixed[0] or analyze
-                sql = prefixed[1]
-            return {"explain": await self.service.explain(sql, analyze)}
-        if op == "workload":
-            return {"workload": await self.service.workload()}
-        if op == "audit":
-            return {"audit": await self.service.audit_stats()}
-        if op == "promote":
-            return await self._promote(request)
-        if op == "follow":
-            return self._follow(request)
-        if op == "checkpoint":
-            result = await self.service.checkpoint()
-            return {
-                "checkpoint_lsn": result.checkpoint_lsn,
-                "snapshot": result.path.name if result.path is not None else None,
-                "tables": result.tables,
-                "seconds": result.seconds,
-                "skipped": result.skipped,
-            }
-        if op == "persist":
-            return {"last_lsn": await self.service.persist()}
-        raise ValueError(f"unknown op {op!r}")
+    # ------------------------------------------------------------------ #
+    # Op handlers (argument fields and admission classes live in OPS)
+
+    async def _op_ping(self) -> str:
+        return "pong"
+
+    async def _op_tables(self) -> dict:
+        return {"tables": self.service.table_names}
+
+    async def _op_stat(self, table: str) -> dict:
+        return await self.service.stat(table)
+
+    async def _op_query(self, sql: str, trace: dict | None = None) -> dict:
+        # SQL-prefix form: "EXPLAIN [ANALYZE] <query>" through the
+        # ordinary query op answers the structured plan instead.
+        if split_explain(sql) is not None:
+            return await self._op_explain(sql)
+        with self._query_span(sql, trace):
+            result = await self.service.query(sql)
+        return encode_result(result)
+
+    async def _op_ingest(
+        self, table: str, rows: dict | Table, coalesce: bool = True
+    ) -> dict:
+        if not isinstance(rows, Table):
+            # Decode against the registered schema so numeric columns
+            # arrive typed the way the store expects (KeyError if unknown).
+            rows = _rows_table(table, rows, self.service.schema_for(table))
+        return _encode_ingest(await self.service.ingest(table, rows, coalesce=coalesce))
+
+    async def _op_register(
+        self,
+        table: str,
+        rows: dict,
+        schema: list | None = None,
+        params: dict | None = None,
+        partition_size: int | None = None,
+    ) -> dict:
+        # Registrations may carry an explicit schema (the cluster front
+        # end does), skipping column-type inference entirely.
+        if schema is not None:
+            schema = wire.schema_from_payload(schema)
+        managed = await self.service.register_table(
+            _rows_table(table, rows, schema),
+            params=wire.params_from_payload(params) if params is not None else None,
+            partition_size=partition_size,
+        )
+        return {
+            "table": managed.name,
+            "rows": managed.num_rows,
+            "partitions": managed.num_partitions,
+        }
+
+    async def _op_drop(self, table: str) -> dict:
+        await self.service.drop_table(table)
+        return {"table": table, "dropped": True}
+
+    async def _op_metrics(self) -> dict:
+        return {"metrics": await self.service.metrics()}
+
+    async def _op_trace(self, trace_id: str) -> dict:
+        return {"trace_id": trace_id, "spans": await self.service.trace(trace_id)}
+
+    async def _op_explain(self, sql: str, analyze: bool = False) -> dict:
+        prefixed = split_explain(sql)
+        if prefixed is not None:  # accept the prefix here too
+            analyze = prefixed[0] or analyze
+            sql = prefixed[1]
+        return {"explain": await self.service.explain(sql, analyze)}
+
+    async def _op_workload(self) -> dict:
+        return {"workload": await self.service.workload()}
+
+    async def _op_audit(self) -> dict:
+        return {"audit": await self.service.audit_stats()}
+
+    async def _op_checkpoint(self) -> dict:
+        result = await self.service.checkpoint()
+        return {
+            "checkpoint_lsn": result.checkpoint_lsn,
+            "snapshot": result.path.name if result.path is not None else None,
+            "tables": result.tables,
+            "seconds": result.seconds,
+            "skipped": result.skipped,
+        }
+
+    async def _op_persist(self) -> dict:
+        return {"last_lsn": await self.service.persist()}
 
     # ------------------------------------------------------------------ #
     # Observability + role transitions
@@ -1090,11 +1032,11 @@ class QueryServer:
     def _query_attrs(self, sql) -> dict:
         rep = self.replication
         return {
-            "sql": sql if isinstance(sql, str) and len(sql) <= 200 else str(sql)[:200],
+            "sql": sql if len(sql) <= 200 else sql[:200],
             "server_role": rep.role if rep is not None else "standalone",
         }
 
-    def _query_span(self, sql, trace: tuple[str, str] | None):
+    def _query_span(self, sql: str, trace: dict | None):
         """Root span for one query request.
 
         When the client supplied trace ids (binary trailer / JSON
@@ -1108,28 +1050,19 @@ class QueryServer:
         the ring buffer.
         """
         if trace is not None:
-            return tracing.root_span(
-                "query",
-                trace_id=trace[0],
-                parent_id=trace[1],
-                attrs=self._query_attrs(sql),
-            )
+            trace_id = trace.get("trace_id")
+            span_id = trace.get("span_id")
+            if isinstance(trace_id, str) and isinstance(span_id, str):
+                return tracing.root_span(
+                    "query",
+                    trace_id=trace_id,
+                    parent_id=span_id,
+                    attrs=self._query_attrs(sql),
+                )
         return tracing.slow_watch("query", lambda: self._query_attrs(sql))
 
-    @staticmethod
-    def _trace_from_request(request: dict) -> tuple[str, str] | None:
-        """(trace_id, span_id) from a JSON-dialect ``"trace"`` key, if sane."""
-        trace = request.get("trace")
-        if not isinstance(trace, dict):
-            return None
-        trace_id = trace.get("trace_id")
-        span_id = trace.get("span_id")
-        if isinstance(trace_id, str) and isinstance(span_id, str):
-            return trace_id, span_id
-        return None
-
-    async def _status_payload(self) -> dict:
-        """The ``status`` op: LSNs, replication role/lag, shed + cache stats."""
+    async def _op_status(self) -> dict:
+        """LSNs, replication role/lag, shed + cache stats."""
         rep = self.replication
         payload: dict = {
             "role": rep.role if rep is not None else "standalone",
@@ -1154,7 +1087,7 @@ class QueryServer:
             payload["follower"] = dict(rep.follower.status)
         return payload
 
-    async def _promote(self, request: dict) -> dict:
+    async def _op_promote(self, epoch: int) -> dict:
         """Turn this replica into the shard's primary at a new epoch.
 
         The caller (the cluster front end) has already bumped the epoch
@@ -1165,9 +1098,6 @@ class QueryServer:
         rep = self.replication
         if rep is None or rep.role != "replica" or rep.follower is None:
             raise ValueError("only a running replica can be promoted")
-        epoch = request.get("epoch")
-        if not isinstance(epoch, int):
-            raise ValueError("promote requests need an integer 'epoch'")
         from ..replication.primary import ReplicationHub
 
         loop = asyncio.get_running_loop()
@@ -1185,40 +1115,146 @@ class QueryServer:
             "applied_lsn": inner.database.wal.last_lsn,
         }
 
-    def _follow(self, request: dict) -> dict:
+    async def _op_follow(self, host: str, port: int) -> dict:
         """Repoint this replica's subscription at a new primary."""
         rep = self.replication
         if rep is None or rep.follower is None:
             raise ValueError("this worker is not following anyone")
-        host = request.get("host")
-        port = request.get("port")
-        if not isinstance(host, str) or not isinstance(port, int):
-            raise ValueError("follow requests need 'host' and an integer 'port'")
         rep.follower.retarget(host, port)
         return {
             "upstream": f"{host}:{port}",
             "applied_lsn": self.service.service.database.wal.last_lsn,
         }
 
-    def _rows_from_request(
-        self, request: dict, registered: bool = True
-    ) -> tuple[str, Table]:
-        table_name = request.get("table")
-        if not isinstance(table_name, str):
-            raise ValueError("ingest/register requests need a 'table' name")
-        payload = request.get("rows")
-        if not isinstance(payload, dict) or not payload:
-            raise ValueError("ingest/register requests need a 'rows' mapping")
-        schema = None
-        if registered:
-            # Decode against the registered schema so numeric columns arrive
-            # typed the way the store expects (raises KeyError if unknown).
-            schema = self.service.schema_for(table_name)
-        elif request.get("schema") is not None:
-            # Registrations may carry an explicit schema (the cluster front
-            # end does), skipping column-type inference entirely.
-            schema = wire.schema_from_payload(request["schema"])
-        return table_name, Table.from_dict(payload, name=table_name, schema=schema)
+
+def _rows_table(table: str, rows: dict, schema) -> Table:
+    if not rows:
+        raise ValueError("ingest/register requests need a non-empty 'rows' mapping")
+    return Table.from_dict(rows, name=table, schema=schema)
+
+
+# --------------------------------------------------------------------------- #
+# The op table
+
+
+class Op(NamedTuple):
+    """One wire op: its handler, admission class and typed argument fields.
+
+    ``required`` / ``optional`` map each JSON argument field to its type;
+    a JSON request is checked against them before the handler runs, and
+    an absent (or ``null``) optional field takes the handler's default.
+    A ``mutates`` op runs the write sequence of :meth:`QueryServer._call`.
+    """
+
+    handler: Callable[..., Awaitable]
+    kind: str = "query"
+    required: dict[str, type] = {}
+    optional: dict[str, type] = {}
+    mutates: bool = False
+
+    def args_from(self, name: str, request: dict) -> dict:
+        """Typed handler arguments of one JSON request (ValueError naming
+        the op and the field on a missing or mistyped one)."""
+        args = {}
+        for key, expected in {**self.required, **self.optional}.items():
+            value = request.get(key)
+            if value is None:
+                if key in self.required:
+                    raise ValueError(f"{name} requests need a {key!r} field")
+                continue
+            # bool subclasses int, but JSON true is not an integer.
+            if not isinstance(value, expected) or (
+                isinstance(value, bool) and expected is not bool
+            ):
+                raise ValueError(
+                    f"{name} field {key!r} must be {expected.__name__}, "
+                    f"not {type(value).__name__}"
+                )
+            args[key] = value
+        return args
+
+
+#: Every wire op: the one place that names an op, its handler, its
+#: admission class, its typed argument fields and whether it mutates.
+#: Both dialects decode into these handler calls.
+OPS: dict[str, Op] = {
+    "ping": Op(QueryServer._op_ping),
+    "tables": Op(QueryServer._op_tables),
+    "stat": Op(QueryServer._op_stat, required={"table": str}),
+    "query": Op(QueryServer._op_query, required={"sql": str}, optional={"trace": dict}),
+    "ingest": Op(
+        QueryServer._op_ingest,
+        kind="ingest",
+        required={"table": str, "rows": dict},
+        optional={"coalesce": bool},
+        mutates=True,
+    ),
+    "register": Op(
+        QueryServer._op_register,
+        required={"table": str, "rows": dict},
+        optional={"schema": list, "params": dict, "partition_size": int},
+        mutates=True,
+    ),
+    "drop": Op(QueryServer._op_drop, required={"table": str}, mutates=True),
+    "status": Op(QueryServer._op_status),
+    "metrics": Op(QueryServer._op_metrics),
+    "trace": Op(QueryServer._op_trace, required={"trace_id": str}),
+    "explain": Op(
+        QueryServer._op_explain, required={"sql": str}, optional={"analyze": bool}
+    ),
+    "workload": Op(QueryServer._op_workload),
+    "audit": Op(QueryServer._op_audit),
+    "promote": Op(QueryServer._op_promote, required={"epoch": int}),
+    "follow": Op(QueryServer._op_follow, required={"host": str, "port": int}),
+    "checkpoint": Op(QueryServer._op_checkpoint),
+    "persist": Op(QueryServer._op_persist),
+}
+
+
+def _decode_json_request(request) -> tuple[str, dict]:
+    """JSON dialect codec: ``(op name, typed handler arguments)``."""
+    if not isinstance(request, dict):
+        raise ValueError("requests must be JSON objects")
+    name = request.get("op")
+    op = OPS.get(name) if isinstance(name, str) else None
+    if op is None:
+        raise ValueError(f"unknown op {name!r}")
+    return name, op.args_from(name, request)
+
+
+def _decode_query_frame(payload: bytes, trace: tuple[bytes, bytes] | None):
+    args: dict = {"sql": framing.decode_query(payload)}
+    if trace is not None:
+        args["trace"] = {"trace_id": trace[0].hex(), "span_id": trace[1].hex()}
+    return "query", args
+
+
+def _encode_query_frame(result: dict) -> bytes:
+    if "explain" in result:
+        raise ValueError(
+            "the binary result block cannot carry an EXPLAIN plan; "
+            "send EXPLAIN queries in an OP_JSON frame"
+        )
+    return framing.encode_result(result)
+
+
+def _decode_ingest_frame(payload: bytes, trace: tuple[bytes, bytes] | None):
+    table, rows, coalesce = framing.decode_ingest(payload)
+    return "ingest", {"table": table, "rows": rows, "coalesce": coalesce}
+
+
+#: Binary codecs onto :data:`OPS`: op code -> ``(decode(payload, trace)
+#: -> (op name, args), encode(result) -> payload)``.  ``OP_QUERY_BATCH``,
+#: ``OP_SUBSCRIBE`` and ``OP_WAL_ACK`` keep their own framing.
+_BINARY_CODECS = {
+    framing.OP_PING: (lambda payload, trace: ("ping", {}), lambda result: b""),
+    framing.OP_QUERY: (_decode_query_frame, _encode_query_frame),
+    framing.OP_INGEST: (_decode_ingest_frame, framing.encode_json),
+    framing.OP_JSON: (
+        lambda payload, trace: _decode_json_request(framing.decode_json(payload)),
+        framing.encode_json,
+    ),
+}
 
 
 class AsyncQueryClient:
@@ -1226,7 +1262,9 @@ class AsyncQueryClient:
 
     One request is in flight per connection at a time; concurrent callers
     sharing a client serialize on an internal lock, so open one client per
-    simulated dashboard session for parallel traffic.
+    simulated dashboard session for parallel traffic.  Error responses
+    raise :class:`~repro.service.wire.WireError` (a ``RuntimeError``), or
+    :class:`~repro.service.wire.OverloadedError` for a shed request.
     """
 
     def __init__(
@@ -1276,18 +1314,14 @@ class AsyncQueryClient:
 
     async def query(self, sql: str) -> dict:
         """Send a query, returning the decoded result payload (raises on error)."""
-        response = await self.request({"op": "query", "sql": sql})
-        if not response["ok"]:
-            raise RuntimeError(f"{response['error_type']}: {response['error']}")
-        return response["result"]
+        return wire.response_result(await self.request({"op": "query", "sql": sql}))
 
     async def ingest(self, table: str, rows: dict, coalesce: bool = True) -> dict:
-        response = await self.request(
-            {"op": "ingest", "table": table, "rows": rows, "coalesce": coalesce}
+        return wire.response_result(
+            await self.request(
+                {"op": "ingest", "table": table, "rows": rows, "coalesce": coalesce}
+            )
         )
-        if not response["ok"]:
-            raise RuntimeError(f"{response['error_type']}: {response['error']}")
-        return response["result"]
 
 
 # --------------------------------------------------------------------------- #

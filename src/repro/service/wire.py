@@ -11,6 +11,9 @@ Two blocking clients for :class:`~repro.service.server.QueryServer`:
   This is what the cluster front end (:mod:`repro.cluster`) multiplexes
   its scatters over.
 
+Both inherit their op methods from :class:`WireOps` and differ only in
+transport (plus the binary client's fast paths).
+
 The module additionally owns the JSON payload encodings shared by both
 ends of the protocol — tables, schemas and
 :class:`~repro.core.params.PairwiseHistParams` — so the server and every
@@ -147,13 +150,29 @@ class UnsentRequestError(ConnectionError):
     """
 
 
-class ClusterClient:
-    """Blocking newline-delimited-JSON client for :class:`QueryServer`.
+def wire_error(error_type: str, message: str) -> WireError:
+    """The exception for one error response in either dialect: a shed
+    request is an :class:`OverloadedError`, anything else a
+    :class:`WireError`."""
+    cls = OverloadedError if error_type == framing.OVERLOADED_ERROR_TYPE else WireError
+    return cls(error_type, message)
 
-    One request is in flight per connection at a time; concurrent callers
-    sharing a client serialize on an internal lock (the cluster front end
-    opens one client per worker shard, so shard calls still fan out in
-    parallel).
+
+def response_result(response: dict):
+    """The ``result`` of one JSON-dialect response, or its error raised."""
+    if not response.get("ok"):
+        raise wire_error(
+            str(response.get("error_type", "Error")), str(response.get("error", ""))
+        )
+    return response["result"]
+
+
+class WireOps:
+    """The convenience ops both blocking clients share.
+
+    Each sends one :data:`repro.service.server.OPS` request through
+    :meth:`call`; a subclass supplies the transport and may override an
+    op with a binary fast path.
     """
 
     def __init__(
@@ -167,83 +186,16 @@ class ClusterClient:
         self.port = port
         self.timeout = timeout
         self.line_limit = line_limit
-        self._sock: socket.socket | None = None
-        self._rfile = None
-        self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-
-    def connect(self) -> "ClusterClient":
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
-        self._rfile = sock.makefile("rb")
-        return self
-
-    def close(self) -> None:
-        if self._rfile is not None:
-            try:
-                self._rfile.close()
-            except OSError:
-                pass
-            self._rfile = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    @property
-    def connected(self) -> bool:
-        return self._sock is not None
-
-    def __enter__(self) -> "ClusterClient":
+    def __enter__(self):
         return self.connect()
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # Protocol
-
-    def request(self, payload: dict) -> dict:
-        """Send one frame, wait for its response frame (raw, ok or not).
-
-        Failures before the frame is written raise
-        :class:`UnsentRequestError` (safe to retry verbatim); failures
-        after it raise :class:`ConnectionError` (the server may have
-        applied the request even though no response arrived).
-        """
-        if self._sock is None:
-            raise UnsentRequestError("client is not connected")
-        frame = json.dumps(payload).encode("utf-8") + b"\n"
-        with self._lock:
-            try:
-                self._sock.sendall(frame)
-            except OSError as exc:
-                raise UnsentRequestError(f"wire send failed: {exc}") from exc
-            try:
-                line = self._rfile.readline(self.line_limit)
-            except OSError as exc:
-                raise ConnectionError(f"wire response failed: {exc}") from exc
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(line)
-
-    def call(self, payload: dict) -> dict:
-        """Like :meth:`request`, raising :class:`WireError` on error frames."""
-        response = self.request(payload)
-        if not response.get("ok"):
-            raise WireError(
-                str(response.get("error_type", "Error")),
-                str(response.get("error", "")),
-            )
-        return response["result"]
-
-    # ------------------------------------------------------------------ #
-    # Convenience ops
+    def call(self, payload: dict):
+        """Send one op request; its result, or the error raised."""
+        raise NotImplementedError
 
     def ping(self) -> bool:
         return self.call({"op": "ping"}) == "pong"
@@ -327,20 +279,102 @@ class ClusterClient:
         return self.call({"op": "audit"})["audit"]
 
 
+class ClusterClient(WireOps):
+    """Blocking newline-delimited-JSON client for :class:`QueryServer`.
+
+    One request is in flight per connection at a time; concurrent callers
+    sharing a client serialize on an internal lock (the cluster front end
+    opens one client per worker shard, so shard calls still fan out in
+    parallel).
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        timeout: float | None = 30.0,
+        line_limit: int = DEFAULT_LINE_LIMIT,
+    ) -> None:
+        super().__init__(host, port, timeout, line_limit)
+        self._sock: socket.socket | None = None
+        self._rfile = None
+        self._lock = threading.Lock()
+
+    # ------------------------------------------------------------------ #
+    # Lifecycle
+
+    def connect(self) -> "ClusterClient":
+        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+        self._rfile = sock.makefile("rb")
+        return self
+
+    def close(self) -> None:
+        if self._rfile is not None:
+            try:
+                self._rfile.close()
+            except OSError:
+                pass
+            self._rfile = None
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            except OSError:
+                pass
+            self._sock = None
+
+    @property
+    def connected(self) -> bool:
+        return self._sock is not None
+
+    # ------------------------------------------------------------------ #
+    # Protocol
+
+    def request(self, payload: dict) -> dict:
+        """Send one frame, wait for its response frame (raw, ok or not).
+
+        Failures before the frame is written raise
+        :class:`UnsentRequestError` (safe to retry verbatim); failures
+        after it raise :class:`ConnectionError` (the server may have
+        applied the request even though no response arrived).
+        """
+        if self._sock is None:
+            raise UnsentRequestError("client is not connected")
+        frame = json.dumps(payload).encode("utf-8") + b"\n"
+        with self._lock:
+            try:
+                self._sock.sendall(frame)
+            except OSError as exc:
+                raise UnsentRequestError(f"wire send failed: {exc}") from exc
+            try:
+                line = self._rfile.readline(self.line_limit)
+            except OSError as exc:
+                raise ConnectionError(f"wire response failed: {exc}") from exc
+        if not line:
+            raise ConnectionError("server closed the connection")
+        return json.loads(line)
+
+    def call(self, payload: dict):
+        """Like :meth:`request`, raising :class:`WireError` on error frames
+        (:class:`OverloadedError` for a shed request)."""
+        return response_result(self.request(payload))
+
+
 # --------------------------------------------------------------------------- #
 # Pipelined binary client
 
 
-class PipelinedClient:
+class PipelinedClient(WireOps):
     """Blocking binary-protocol client with true pipelining.
 
     ``submit_*`` methods write one frame and return a
     :class:`~concurrent.futures.Future` immediately — many requests ride
     one connection concurrently, and a background reader thread resolves
     each future as its response frame arrives (responses may come back in
-    any order; they are matched by request id).  The synchronous
-    conveniences (``query`` / ``ingest`` / ``call`` / ...) mirror
-    :class:`ClusterClient` and simply wait on their own future.
+    any order; they are matched by request id).  The synchronous ops
+    (``query`` / ``ingest`` / ``call`` / ...) are the :class:`WireOps`
+    ones, each waiting on its own future.
 
     Error semantics match :class:`ClusterClient`: a failure *before* the
     frame hits the socket raises :class:`UnsentRequestError` (safe to
@@ -357,10 +391,7 @@ class PipelinedClient:
         timeout: float | None = 30.0,
         line_limit: int = DEFAULT_LINE_LIMIT,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.line_limit = line_limit
+        super().__init__(host, port, timeout, line_limit)
         self._sock: socket.socket | None = None
         self._rfile = None
         self._reader: threading.Thread | None = None
@@ -420,12 +451,6 @@ class PipelinedClient:
     @property
     def connected(self) -> bool:
         return self._sock is not None and not self._closed
-
-    def __enter__(self) -> "PipelinedClient":
-        return self.connect()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     # Frame plumbing
@@ -497,13 +522,7 @@ class PipelinedClient:
                     else:
                         future.set_result(result)
                 else:
-                    error_type, message = framing.decode_error(payload)
-                    cls = (
-                        OverloadedError
-                        if status == framing.STATUS_OVERLOADED
-                        else WireError
-                    )
-                    future.set_exception(cls(error_type, message))
+                    future.set_exception(wire_error(*framing.decode_error(payload)))
         except Exception as exc:
             if not isinstance(exc, ConnectionError):
                 exc = ConnectionError(f"wire reader failed: {exc}")
@@ -566,27 +585,22 @@ class PipelinedClient:
         return self._submit(framing.OP_JSON, framing.encode_json(payload))
 
     # ------------------------------------------------------------------ #
-    # Synchronous conveniences (mirror ClusterClient)
+    # Synchronous calls: the shared WireOps, with binary fast paths
 
-    def call(self, payload: dict) -> dict:
+    def call(self, payload: dict):
         return self._result(self.submit_call(payload))
 
     def ping(self) -> bool:
         return self._result(self.submit_ping()) is True
 
-    def tables(self) -> list[str]:
-        return self.call({"op": "tables"})["tables"]
-
-    def stat(self, table: str) -> dict:
-        return self.call({"op": "stat", "table": table})
-
     def query(self, sql: str, trace: tuple[bytes, bytes] | None = None) -> dict:
+        """``trace=(trace_id16, span_id8)`` rides the binary trace trailer."""
         from ..audit.explain import split_explain
 
         # The binary result block cannot carry a structured plan, so the
         # SQL-prefix form rides the OP_JSON cold path instead.
         if split_explain(sql) is not None:
-            return self.call({"op": "query", "sql": sql})
+            return super().query(sql)
         return self._result(self.submit_query(sql, trace))
 
     def query_batch(self, sqls: list[str]) -> list[dict]:
@@ -595,65 +609,4 @@ class PipelinedClient:
     def ingest(self, table: str, rows: Table | dict, coalesce: bool = True) -> dict:
         if isinstance(rows, Table):
             return self._result(self.submit_ingest(table, rows, coalesce))
-        return self.call(
-            {"op": "ingest", "table": table, "rows": rows, "coalesce": coalesce}
-        )
-
-    def register(
-        self,
-        table: Table,
-        params: PairwiseHistParams | None = None,
-        partition_size: int | None = None,
-    ) -> dict:
-        request: dict = {
-            "op": "register",
-            "table": table.name,
-            "rows": table_payload(table),
-            "schema": schema_payload(table.schema),
-        }
-        if params is not None:
-            request["params"] = params_payload(params)
-        if partition_size is not None:
-            request["partition_size"] = partition_size
-        return self.call(request)
-
-    def drop(self, table: str) -> dict:
-        return self.call({"op": "drop", "table": table})
-
-    def checkpoint(self) -> dict:
-        return self.call({"op": "checkpoint"})
-
-    def persist(self) -> int:
-        return self.call({"op": "persist"})["last_lsn"]
-
-    def status(self) -> dict:
-        """Replication/health snapshot (role, LSNs, lag, shed counts)."""
-        return self.call({"op": "status"})
-
-    def promote(self, epoch: int) -> dict:
-        """Tell a replica to become the primary at ``epoch``."""
-        return self.call({"op": "promote", "epoch": epoch})
-
-    def follow(self, host: str, port: int) -> dict:
-        """Repoint a replica's subscription at a new primary."""
-        return self.call({"op": "follow", "host": host, "port": port})
-
-    def metrics(self) -> dict:
-        """Registry snapshot (fan-out merged when talking to a cluster)."""
-        return self.call({"op": "metrics"})["metrics"]
-
-    def trace(self, trace_id: str) -> list[dict]:
-        """Finished spans for ``trace_id`` (fan-out merged on a cluster)."""
-        return self.call({"op": "trace", "trace_id": trace_id})["spans"]
-
-    def explain(self, sql: str, analyze: bool = False) -> dict:
-        """Structured EXPLAIN plan; ``analyze=True`` also executes."""
-        return self.call({"op": "explain", "sql": sql, "analyze": analyze})["explain"]
-
-    def workload(self) -> dict:
-        """Normalized-template workload log (fan-out merged on a cluster)."""
-        return self.call({"op": "workload"})["workload"]
-
-    def audit(self) -> dict:
-        """Accuracy-auditor stats (fan-out merged on a cluster)."""
-        return self.call({"op": "audit"})["audit"]
+        return super().ingest(table, rows, coalesce)

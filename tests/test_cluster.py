@@ -258,6 +258,35 @@ class TestGatherAlgebra:
         assert avg.value == pytest.approx(15.0)
         assert (avg.lower, avg.upper) == (8.0, 22.0)
 
+    def test_recombined_value_lies_inside_its_own_bounds(self):
+        # Both shards answer 3.3 at their lower bound; the count-weighted
+        # mean rounds to 3.2999999999999994, below that bound.
+        plan, [median] = _scalar(
+            "SELECT MEDIAN(x) FROM t",
+            [
+                [answer(3.3, 3.3, 4.3), answer(4162)],
+                [answer(3.3, 3.3, 4.3), answer(4009)],
+            ],
+        )
+        assert median.lower <= median.value <= median.upper
+        assert (median.value, median.lower, median.upper) == (3.3, 3.3, 4.3)
+
+    @pytest.mark.parametrize("func", ["AVG", "MEDIAN", "VAR"])
+    def test_weighted_recombination_never_leaves_its_bounds(self, func):
+        plan = plan_query(parse_query(f"SELECT {func}(x) FROM t"))
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            # Shards answering exactly at a shared bound are the rounding
+            # edge: the true weighted mean equals the bound.
+            value = round(float(rng.uniform(0, 10)), 1)
+            rows = [
+                [answer(value, value, value + 1.0), answer(int(rng.integers(1, 10_000)))]
+                + [answer(value)] * (len(plan.scattered.aggregations) - 2)
+                for _ in range(int(rng.integers(2, 5)))
+            ]
+            [result] = gather_scalar(plan, rows)
+            assert result.lower <= result.value <= result.upper
+
     def test_all_shards_empty_raises(self):
         plan = plan_query(parse_query("SELECT COUNT(*) FROM t"))
         with pytest.raises(ValueError, match="no shard"):
